@@ -39,9 +39,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Fuzz smoke: a short randomized pass over the untrusted-input parsers
-# (score request JSON, metric label values) on every invocation.
+# (score request JSON, metric label values) on every invocation, plus the
+# score decoder's differential run against its encoding/json oracle.
+# Targets are anchored: -fuzz refuses a pattern matching more than one.
 fuzz:
-	go test ./internal/server/ -run '^$$' -fuzz FuzzDecodeScoreRequest -fuzztime 10s
+	go test ./internal/server/ -run '^$$' -fuzz '^FuzzDecodeScoreRequest$$' -fuzztime 10s
+	go test ./internal/server/ -run '^$$' -fuzz '^FuzzDecodeScoreRequestDiff$$' -fuzztime 10s
 	go test ./internal/obs/ -run '^$$' -fuzz FuzzSeriesLabels -fuzztime 10s
 
 check: build vet fmt-check lint race

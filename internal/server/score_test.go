@@ -112,3 +112,31 @@ func TestScoreShedReturns429(t *testing.T) {
 		t.Fatalf("single-replica tier not converged: %v", sv)
 	}
 }
+
+// TestScoreRejectsMalformedBodies pins the two bodies encoding/json used to
+// let through to the model: a null feature value (silently scored as 0)
+// and a stray closing bracket after the request object. Both must answer
+// 400, the null naming the vector and feature it sits at.
+func TestScoreRejectsMalformedBodies(t *testing.T) {
+	srv, _, _ := deployServer(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	width := len(srv.Prodigy.FeatureNames())
+	features := strings.Split(strings.TrimSuffix(strings.Repeat("0,", width), ","), ",")
+	row := strings.Join(features, ",")
+	features[width-1] = "null"
+	for _, tc := range []struct{ body, wantErr string }{
+		{fmt.Sprintf(`{"vectors":[[%s],[%s]]}`, row, strings.Join(features, ",")),
+			fmt.Sprintf("vector 1, feature %d", width-1)},
+		{fmt.Sprintf(`{"vectors":[[%s]]}}`, row), "trailing data"},
+		{fmt.Sprintf(`{"vectors":[[%s]]}]`, row), "trailing data"},
+	} {
+		resp, out := postJSON(t, ts.URL+"/api/score", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("POST %.40q…: status %d, want 400 (%v)", tc.body, resp.StatusCode, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, tc.wantErr) {
+			t.Fatalf("POST %.40q…: error %q, want it to name %q", tc.body, msg, tc.wantErr)
+		}
+	}
+}
