@@ -133,11 +133,10 @@ func ensBenchModels(tb testing.TB) (cascade, fleet, solo *core.Prodigy, stream *
 		ds := ensBenchDataset()
 		ensBenchStreamed = ensBenchStream()
 
-		// The naive z-score pre-filter — the cheapest calibrated stage 1
-		// (O(dims) per row; iforest's 100 trees cost a meaningful fraction
-		// of this fleet, muddying what the benchmark isolates).
+		// The naive z-score pre-filter, the cascade's only stage 1:
+		// O(dims) per row, so the benchmark isolates the fleet's cost.
 		eCfg := ensemble.Config{Prefilter: "naive", PassFrac: 0.05,
-			Fusion: ensemble.FusionRank, Members: []string{"vae", "usad", "lof"}, Seed: 11}
+			Members: []string{"vae", "usad", "lof"}, Seed: 11}
 		ensBenchCascade = core.New(ensBenchCoreConfig())
 		if ensBenchErr = ensBenchCascade.FitEnsemble(ds, nil, eCfg, ensBenchUSAD); ensBenchErr != nil {
 			return
@@ -270,7 +269,7 @@ func TestEmitEnsembleBenchJSON(t *testing.T) {
 	// The fused-vs-solo quality table (same table `experiments -run
 	// ensemble` prints), recorded as informational entries: detection
 	// quality is what the throughput win must not cost.
-	eval, err := experiments.RunEnsembleEval(experiments.Quick, ensemble.FusionRank, 1)
+	eval, err := experiments.RunEnsembleEval(experiments.Quick, 1)
 	if err != nil {
 		t.Fatalf("ensemble eval: %v", err)
 	}

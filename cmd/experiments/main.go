@@ -17,14 +17,12 @@ import (
 	"strings"
 	"time"
 
-	"prodigy/internal/ensemble"
 	"prodigy/internal/experiments"
 	"prodigy/internal/features"
 )
 
 func main() {
 	run := flag.String("run", "all", "comma-separated: figure5, figure6, figure7, table3, empire, inference, inventory, hetero, ablations, ensemble, all")
-	fusion := flag.String("fusion", "rank", "fleet-score fusion rule for -run ensemble: rank, max or weighted")
 	budgetName := flag.String("budget", "quick", "quick or paper")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	scale := flag.Float64("scale", 0.5, "campaign scale for figure5")
@@ -164,7 +162,7 @@ func main() {
 	}
 	if all || want["ensemble"] {
 		step("ensemble (cascade vs solo)")
-		res, err := experiments.RunEnsembleEval(budget, ensemble.Fusion(*fusion), *seed)
+		res, err := experiments.RunEnsembleEval(budget, *seed)
 		if err != nil {
 			fatalf("ensemble: %v", err)
 		}

@@ -75,7 +75,6 @@ func main() {
 	alertRules := flag.String("alert-rules", "", "JSON alert-rules file (empty = built-in defaults)")
 	logRate := flag.Float64("log-rate", 0, "max non-error log lines per second, 0 = unlimited (errors are never limited; drops land in log_dropped_total)")
 	ensembleOn := flag.Bool("ensemble", false, "deploy the budgeted cascade ensemble (naive z-score pre-filter + vae/usad/lof fleet) instead of the solo VAE")
-	fusion := flag.String("fusion", "rank", "ensemble fleet-score fusion rule: rank, max or weighted")
 	budgetNs := flag.Float64("score-budget-ns", 0, "ensemble scoring budget in ns/row; the scheduler sheds expensive fleet members above it (0 = unlimited)")
 	replicas := flag.Int("replicas", 2, "detector replicas behind the coalescing serving tier")
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "max time a scoring request waits to be micro-batched with concurrent requests")
@@ -170,8 +169,6 @@ func main() {
 	p := core.New(cfg)
 	if *ensembleOn {
 		ecfg := ensemble.DefaultConfig()
-		ecfg.Fusion = ensemble.Fusion(*fusion)
-		ecfg.BudgetNs = *budgetNs
 		ecfg.Seed = *seed
 		usadCfg := experiments.USADConfig(experiments.Quick, *seed)
 		newMember := func(kind string, inputDim int) (pipeline.Model, error) {
@@ -213,7 +210,7 @@ func main() {
 		// fleet members before the tier starts shedding requests.
 		n := srv.Tier.ConfigureEnsemble(*budgetNs)
 		obs.Info("ensemble budget scheduler armed", "ensembles", n,
-			"budget_ns_per_row", *budgetNs, "fusion", *fusion)
+			"budget_ns_per_row", *budgetNs)
 	}
 	// Optional production extras: anomaly-type diagnosis (needs ≥2 labeled
 	// types in the campaign) and the model-staleness monitor.

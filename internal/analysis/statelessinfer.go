@@ -52,6 +52,7 @@ func DefaultStatelessRoots() []RootSpec {
 		{"VAE", "Reconstruct"},
 		{"VAE", "Scores"},
 		{"USAD", "Scores"},
+		{"Ensemble", "Scores"},
 		{"Store", "QuerySampler"},
 		{"Store", "QueryJob"},
 	}

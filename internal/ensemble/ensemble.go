@@ -36,55 +36,37 @@ import (
 	"prodigy/internal/pipeline"
 )
 
-// Fusion names a score-fusion rule for the fleet stage.
-type Fusion string
-
-const (
-	// FusionRank averages the members' empirical-CDF (midrank) values —
-	// rank-average fusion, robust to members with wildly different score
-	// scales.
-	FusionRank Fusion = "rank"
-	// FusionMax takes the most alarmed member's CDF value.
-	FusionMax Fusion = "max"
-	// FusionWeighted is a weighted mean of CDF values using Config.Weights.
-	FusionWeighted Fusion = "weighted"
-)
-
 // Config declares a cascade: which cheap model guards the gate, how much
-// of the normal stream may pass, which fleet scores the tail and how the
-// fleet's votes combine.
+// of the normal stream may pass and which fleet scores the tail. The
+// fleet's votes always combine by rank-average fusion: each member's
+// score maps to its midrank empirical CDF over its training scores and
+// the CDF values are averaged, which is robust to members with wildly
+// different score scales.
 type Config struct {
-	// Prefilter is the stage-1 model kind ("iforest" or "naive"); empty
-	// disables the cascade and every row reaches the fleet.
+	// Prefilter is the stage-1 model kind: "naive" (z-score gate) or
+	// empty, which disables the cascade so every row reaches the fleet.
 	Prefilter string `json:"prefilter,omitempty"`
 	// PassFrac is the target fraction of held-out normal rows that pass
 	// the pre-filter (default 0.01 — the "≤ ~1%" calibration).
 	PassFrac float64 `json:"pass_frac,omitempty"`
-	// Fusion is the fleet fusion rule (default FusionRank).
-	Fusion Fusion `json:"fusion,omitempty"`
 	// Members lists the fleet model kinds in fixed order.
 	Members []string `json:"members"`
-	// Weights, when non-nil, must parallel Members (FusionWeighted).
-	Weights []float64 `json:"weights,omitempty"`
-	// BudgetNs is the scheduler's target ns/row for the whole cascade;
-	// 0 disables budget shedding.
-	BudgetNs float64 `json:"budget_ns,omitempty"`
-	// Seed seeds the pre-filter's randomized fit (isolation forest).
+	// Seed seeds the randomized fits (k-means, isolation forest) of
+	// fleet members that Train builds from their kind.
 	Seed int64 `json:"seed,omitempty"`
 }
 
 // DefaultConfig is the deployed shape: naive z-score gate at 1% pass,
-// rank-average fusion over the VAE + USAD + LOF fleet. The naive
-// pre-filter wins over iforest on both axes that matter for stage 1 —
-// it is ~50× cheaper per row and, on the hpas campaigns, keeps fused
-// F1/AUC at solo-Prodigy level where the iforest gate clears enough
-// true anomalies to cap AUC around 0.83 (`experiments -run ensemble`
-// measures both; a cleared anomaly is unrecoverable by construction).
+// rank-average fusion over the VAE + USAD + LOF fleet. The naive gate is
+// the only pre-filter: an isolation-forest gate was ~50× dearer per row
+// and, on the hpas campaigns, cleared enough true anomalies to cap fused
+// AUC around 0.83 (a cleared anomaly is unrecoverable by construction),
+// where the naive gate keeps fused F1/AUC at solo-Prodigy level
+// (`experiments -run ensemble`).
 func DefaultConfig() Config {
 	return Config{
 		Prefilter: "naive",
 		PassFrac:  0.01,
-		Fusion:    FusionRank,
 		Members:   []string{"vae", "usad", "lof"},
 		Seed:      1,
 	}
@@ -94,7 +76,6 @@ func DefaultConfig() Config {
 // distribution, its cost-ledger entry and the scheduler's active flag.
 type member struct {
 	kind   string
-	weight float64
 	model  pipeline.Model
 	ref    []float64 // sorted training scores: empirical CDF support
 	cost   *obs.CostEntry
@@ -102,8 +83,8 @@ type member struct {
 }
 
 // Ensemble is the cascade detector. It satisfies pipeline.Model; Scores
-// is safe for any number of concurrent callers (fitted state is
-// read-only, scheduler flags are atomics snapshotted per batch).
+// is safe for any number of concurrent callers: fitted state is
+// read-only, and membership changes only in Tick, never in Scores.
 type Ensemble struct {
 	Cfg Config
 
@@ -150,8 +131,8 @@ const (
 )
 
 // New assembles a cascade over the given fleet members, which must
-// parallel cfg.Members (fitted or not — FitHealthy fits them). The
-// pre-filter is constructed from cfg.Prefilter.
+// parallel cfg.Members (fitted or not — FitHealthy fits them), behind a
+// naive pre-filter when cfg.Prefilter is "naive".
 func New(cfg Config, members []pipeline.Model) (*Ensemble, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("ensemble: empty fleet")
@@ -159,16 +140,8 @@ func New(cfg Config, members []pipeline.Model) (*Ensemble, error) {
 	if len(members) != len(cfg.Members) {
 		return nil, fmt.Errorf("ensemble: %d models for %d member kinds", len(members), len(cfg.Members))
 	}
-	if cfg.Weights != nil && len(cfg.Weights) != len(cfg.Members) {
-		return nil, fmt.Errorf("ensemble: %d weights for %d members", len(cfg.Weights), len(cfg.Members))
-	}
-	switch cfg.Fusion {
-	case "", FusionRank, FusionMax, FusionWeighted:
-	default:
-		return nil, fmt.Errorf("ensemble: unknown fusion %q", cfg.Fusion)
-	}
-	if cfg.Fusion == "" {
-		cfg.Fusion = FusionRank
+	if cfg.Prefilter != "" && cfg.Prefilter != "naive" {
+		return nil, fmt.Errorf(`ensemble: prefilter %q is not supported, only "naive" or none (retrain artifacts built with it)`, cfg.Prefilter)
 	}
 	if cfg.PassFrac <= 0 {
 		cfg.PassFrac = 0.01
@@ -181,20 +154,12 @@ func New(cfg Config, members []pipeline.Model) (*Ensemble, error) {
 		if got := members[i].Kind(); got != kind {
 			return nil, fmt.Errorf("ensemble: member %d is %q, config says %q", i, got, kind)
 		}
-		w := 1.0
-		if cfg.Weights != nil {
-			w = cfg.Weights[i]
-		}
-		m := &member{kind: kind, weight: w, model: members[i], cost: obs.CostFor(kind)}
+		m := &member{kind: kind, model: members[i], cost: obs.CostFor(kind)}
 		m.active.Store(true)
 		e.members = append(e.members, m)
 	}
 	if cfg.Prefilter != "" {
-		pre, err := pipeline.NewModelOfKind(cfg.Prefilter, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("ensemble: prefilter: %w", err)
-		}
-		e.pre = pre
+		e.pre = pipeline.NewNaiveModel()
 	}
 	e.sched.init(e)
 	modelsActive.Set(float64(len(e.members)))
@@ -337,10 +302,14 @@ func (e *Ensemble) passthrough() bool {
 	return e.pre == nil && len(e.members) == 1
 }
 
-// Scores implements pipeline.Model. Per-row outputs depend only on the
-// fitted state and the active-member snapshot taken at batch start, so
-// results are identical across batch chunkings (AnomalyDetector's
-// worker fan-out) and member completion orders.
+// Scores implements pipeline.Model. It never changes fleet membership:
+// the budget scheduler moves only in Tick, which AnomalyDetector.Scores
+// calls once per batch before fanning the batch out. Per-row outputs
+// depend only on the fitted state and the active members, so the chunks
+// of one AnomalyDetector.Scores call all see one membership — unless
+// another replica's Tick on the same shared ensemble lands between
+// them — and results are identical across batch chunkings and member
+// completion orders.
 func (e *Ensemble) Scores(x *mat.Matrix) []float64 {
 	if e.passthrough() {
 		m := e.members[0]
@@ -350,9 +319,8 @@ func (e *Ensemble) Scores(x *mat.Matrix) []float64 {
 		e.account(x.Rows, x.Rows)
 		return out
 	}
-	e.sched.rebalance()
 	if e.pre == nil {
-		out := e.fuseAll(x, nil)
+		out := e.fuseAll(x)
 		e.account(x.Rows, x.Rows)
 		return out
 	}
@@ -388,7 +356,7 @@ func (e *Ensemble) Scores(x *mat.Matrix) []float64 {
 	for j, i := range passIdx {
 		copy(tail.Row(j), x.Row(i))
 	}
-	fused := e.fuseAll(tail, pre)
+	fused := e.fuseAll(tail)
 	for j, i := range passIdx {
 		out[i] = 1 + fused[j]
 	}
@@ -399,11 +367,11 @@ func (e *Ensemble) Scores(x *mat.Matrix) []float64 {
 const clearedCeil = 1 - 1e-9
 
 // fuseAll scores every row of tail with the active fleet members and
-// fuses their CDF values per row. pre is unused except as a fallback
-// when the scheduler has shed the whole fleet (which it avoids — it
-// always keeps one member active; this guards artifact states loaded
-// from older runs).
-func (e *Ensemble) fuseAll(tail *mat.Matrix, pre []float64) []float64 {
+// rank-average fuses their CDF values per row. The zero-active fallback
+// (every row fuses to 0.5) only guards the scheduler's never-shed-last
+// invariant: active flags are never persisted, so no artifact can load
+// with an empty fleet.
+func (e *Ensemble) fuseAll(tail *mat.Matrix) []float64 {
 	active := make([]*member, 0, len(e.members))
 	for _, m := range e.members {
 		if m.active.Load() {
@@ -440,33 +408,12 @@ func (e *Ensemble) fuseAll(tail *mat.Matrix, pre []float64) []float64 {
 	}
 
 	fuseStart := time.Now()
-	totalW := 0.0
-	for _, m := range active {
-		totalW += m.weight
-	}
 	for row := range fused {
-		switch e.Cfg.Fusion {
-		case FusionMax:
-			best := 0.0
-			for i, m := range active {
-				if c := cdf(m.ref, scores[i][row]); c > best {
-					best = c
-				}
-			}
-			fused[row] = best
-		case FusionWeighted:
-			sum := 0.0
-			for i, m := range active {
-				sum += m.weight * cdf(m.ref, scores[i][row])
-			}
-			fused[row] = sum / totalW
-		default: // FusionRank
-			sum := 0.0
-			for i, m := range active {
-				sum += cdf(m.ref, scores[i][row])
-			}
-			fused[row] = sum / float64(len(active))
+		sum := 0.0
+		for i, m := range active {
+			sum += cdf(m.ref, scores[i][row])
 		}
+		fused[row] = sum / float64(len(active))
 	}
 	if pipeline.InstrumentationEnabled() {
 		stageDur.With(stageFuse).Observe(time.Since(fuseStart).Seconds())

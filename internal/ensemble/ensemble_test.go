@@ -1,10 +1,13 @@
 package ensemble_test
 
 import (
+	"encoding/json"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,19 +117,25 @@ func TestPassthroughBitIdentity(t *testing.T) {
 
 // cheapCascade trains a full cascade over cheap deterministic members —
 // the harness for determinism, scheduler and round-trip tests.
-func cheapCascade(t testing.TB, members []string, fusion ensemble.Fusion) (*pipeline.Artifact, *pipeline.Dataset) {
+func cheapCascade(t testing.TB, members []string) (*pipeline.Artifact, *pipeline.Dataset) {
 	t.Helper()
-	ds := syntheticDataset(t, 96, 12, 10, 5)
-	art, err := ensemble.Train(ensemble.TrainOptions{
-		Cfg:     ensemble.Config{Prefilter: "iforest", PassFrac: 0.05, Fusion: fusion, Members: members, Seed: 11},
-		Trainer: trainerCfg(),
-		Train:   ds,
-		Select:  ds,
-	})
+	art, err := ensemble.Train(cheapTrainOptions(t, members))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return art, syntheticDataset(t, 160, 40, 10, 6)
+}
+
+// cheapTrainOptions is cheapCascade's training setup: naive pre-filter
+// at 5% pass over the given cheap fleet.
+func cheapTrainOptions(t testing.TB, members []string) ensemble.TrainOptions {
+	ds := syntheticDataset(t, 96, 12, 10, 5)
+	return ensemble.TrainOptions{
+		Cfg:     ensemble.Config{Prefilter: "naive", PassFrac: 0.05, Members: members, Seed: 11},
+		Trainer: trainerCfg(),
+		Train:   ds,
+		Select:  ds,
+	}
 }
 
 // TestCascadeScoreBands checks the cascade's score semantics: cleared
@@ -134,7 +143,7 @@ func cheapCascade(t testing.TB, members []string, fusion ensemble.Fusion) (*pipe
 // pre-filter clears the bulk of a mostly-normal stream while anomalies
 // still cross the decision threshold.
 func TestCascadeScoreBands(t *testing.T) {
-	art, test := cheapCascade(t, []string{"naive", "kmeans"}, ensemble.FusionRank)
+	art, test := cheapCascade(t, []string{"naive", "kmeans"})
 	det, err := art.Detector()
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +189,7 @@ func TestCascadeScoreBands(t *testing.T) {
 // across the detector's worker fan-out (GOMAXPROCS 1, 2 and 8 produce
 // different batch chunkings) and across fleet-member completion orders.
 func TestFusionDeterminism(t *testing.T) {
-	art, test := cheapCascade(t, []string{"naive", "kmeans", "lof"}, ensemble.FusionRank)
+	art, test := cheapCascade(t, []string{"naive", "kmeans", "lof"})
 	det, err := art.Detector()
 	if err != nil {
 		t.Fatal(err)
@@ -220,17 +229,17 @@ func TestFusionDeterminism(t *testing.T) {
 	ens.SetMemberDelayForTest(nil)
 }
 
-// TestFusionRules checks the fusion algebra on one fitted fleet: max
-// fusion dominates rank-average fusion row for row, and a weighted
-// fusion with all weight on one member reproduces that member's rank
-// transform exactly.
-func TestFusionRules(t *testing.T) {
+// TestRankFusion checks the fleet stage against an independent oracle:
+// with no pre-filter, a [naive, kmeans] cascade's scores equal, bit for
+// bit, the mean of the two members' midrank empirical CDFs — computed
+// here from scratch against independently fitted copies of both models.
+func TestRankFusion(t *testing.T) {
 	ds := syntheticDataset(t, 96, 12, 10, 5)
 	test := syntheticDataset(t, 60, 20, 10, 8)
+	kinds := []string{"naive", "kmeans"}
 
-	build := func(fusion ensemble.Fusion, weights []float64) *ensemble.Ensemble {
+	fresh := func() []pipeline.Model {
 		t.Helper()
-		kinds := []string{"naive", "kmeans"}
 		models := make([]pipeline.Model, len(kinds))
 		for i, k := range kinds {
 			m, err := pipeline.NewModelOfKind(k, 11)
@@ -239,42 +248,31 @@ func TestFusionRules(t *testing.T) {
 			}
 			models[i] = m
 		}
-		e, err := ensemble.New(ensemble.Config{
-			Members: kinds, Weights: weights, Fusion: fusion, PassFrac: 0.05, Seed: 11,
-		}, models)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.FitHealthy(ds.X); err != nil {
-			t.Fatal(err)
-		}
-		return e
+		return models
 	}
-
-	rank := build(ensemble.FusionRank, nil).Scores(test.X)
-	max := build(ensemble.FusionMax, nil).Scores(test.X)
-	naiveOnly := build(ensemble.FusionWeighted, []float64{1, 0}).Scores(test.X)
-	for i := range rank {
-		if max[i] < rank[i] {
-			t.Fatalf("row %d: max fusion %v below rank fusion %v", i, max[i], rank[i])
-		}
-	}
-	// With all weight on the first member, the weighted fusion must match
-	// that member's midrank empirical CDF exactly — computed here from
-	// scratch against an independently fitted copy of the same model.
-	ref, err := pipeline.NewModelOfKind("naive", 11)
+	e, err := ensemble.New(ensemble.Config{Members: kinds, PassFrac: 0.05, Seed: 11}, fresh())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.FitHealthy(ds.X); err != nil {
+	if err := e.FitHealthy(ds.X); err != nil {
 		t.Fatal(err)
 	}
-	trainScores := append([]float64(nil), ref.Scores(ds.X)...)
-	sort.Float64s(trainScores)
-	refScores := ref.Scores(test.X)
-	for i := range naiveOnly {
-		if want := midrankCDF(trainScores, refScores[i]); naiveOnly[i] != want {
-			t.Fatalf("row %d: weighted[1,0] fusion %v != naive midrank CDF %v", i, naiveOnly[i], want)
+	got := e.Scores(test.X)
+
+	cdfs := make([][]float64, len(kinds))
+	for k, ref := range fresh() {
+		if err := ref.FitHealthy(ds.X); err != nil {
+			t.Fatal(err)
+		}
+		trainScores := append([]float64(nil), ref.Scores(ds.X)...)
+		sort.Float64s(trainScores)
+		for _, s := range ref.Scores(test.X) {
+			cdfs[k] = append(cdfs[k], midrankCDF(trainScores, s))
+		}
+	}
+	for i := range got {
+		if want := (cdfs[0][i] + cdfs[1][i]) / 2; got[i] != want {
+			t.Fatalf("row %d: rank fusion %v != mean midrank CDF %v", i, got[i], want)
 		}
 	}
 }
@@ -292,7 +290,7 @@ func midrankCDF(ref []float64, v float64) float64 {
 // fleet members, pre-filter, margin and rank references all survive the
 // JSON round-trip.
 func TestArtifactRoundTrip(t *testing.T) {
-	art, test := cheapCascade(t, []string{"naive", "kmeans"}, ensemble.FusionRank)
+	art, test := cheapCascade(t, []string{"naive", "kmeans"})
 	det, err := art.Detector()
 	if err != nil {
 		t.Fatal(err)
@@ -329,12 +327,154 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLegacyArtifactRefused edits a saved cascade artifact the way an
+// artifact trained with a deleted option would read: max or weighted
+// fusion, per-member weights or the isolation-forest gate must fail to
+// load with an error that names the field and says to retrain, while a
+// legacy artifact of the deployed shape (explicit rank fusion, per-member
+// weight 1) still loads and scores bit-identically.
+func TestLegacyArtifactRefused(t *testing.T) {
+	art, test := cheapCascade(t, []string{"naive", "kmeans"})
+	det, err := art.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := det.Scores(test.X)
+	dir := t.TempDir()
+	orig := filepath.Join(dir, "ensemble.json")
+	if err := art.Save(orig); err != nil {
+		t.Fatal(err)
+	}
+
+	// edited loads the saved artifact with edit applied to its ensemble
+	// blob (decoded generically, so the deleted fields can be written).
+	edited := func(t *testing.T, edit func(model map[string]any)) (*pipeline.Artifact, error) {
+		t.Helper()
+		blob, err := os.ReadFile(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(blob, &top); err != nil {
+			t.Fatal(err)
+		}
+		var model map[string]any
+		if err := json.Unmarshal(top["model"], &model); err != nil {
+			t.Fatal(err)
+		}
+		edit(model)
+		if top["model"], err = json.Marshal(model); err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = json.Marshal(top); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "edited.json")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return pipeline.LoadArtifact(path)
+	}
+	cfgOf := func(model map[string]any) map[string]any { return model["cfg"].(map[string]any) }
+
+	for _, tc := range []struct {
+		name, field string
+		edit        func(cfg map[string]any)
+	}{
+		{"fusion max", "fusion", func(cfg map[string]any) { cfg["fusion"] = "max" }},
+		{"fusion weighted", "fusion", func(cfg map[string]any) { cfg["fusion"] = "weighted"; cfg["weights"] = []float64{1, 0} }},
+		{"weights", "weights", func(cfg map[string]any) { cfg["fusion"] = "rank"; cfg["weights"] = []float64{1, 1} }},
+		{"iforest gate", "prefilter", func(cfg map[string]any) { cfg["prefilter"] = "iforest" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := edited(t, func(model map[string]any) { tc.edit(cfgOf(model)) })
+			if err == nil {
+				t.Fatal("artifact with a deleted option loaded")
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.field) || !strings.Contains(msg, "retrain") {
+				t.Fatalf("error %q does not name %s and say retrain", msg, tc.field)
+			}
+		})
+	}
+
+	loaded, err := edited(t, func(model map[string]any) {
+		cfgOf(model)["fusion"] = "rank"
+		for _, m := range model["members"].([]any) {
+			m.(map[string]any)["weight"] = 1.0
+		}
+	})
+	if err != nil {
+		t.Fatalf("legacy rank-fusion artifact refused: %v", err)
+	}
+	det2, err := loaded.Detector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := det2.Scores(test.X)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: legacy rank artifact scores %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestScoresNeverChangeMembership pins where the budget scheduler lives:
+// with a starvation budget and a backed-up queue armed, neither direct
+// Ensemble.Scores calls nor Train's threshold calibration may shed a
+// member — only AnomalyDetector.Scores' once-per-batch Tick does.
+func TestScoresNeverChangeMembership(t *testing.T) {
+	members := []string{"naive", "kmeans", "lof"}
+	arm := func(e *ensemble.Ensemble) {
+		e.SetBudgetNs(1)
+		e.SetLoadProbe(func() (int, int) { return 90, 100 })
+	}
+	full := func(t *testing.T, ens *ensemble.Ensemble) {
+		t.Helper()
+		if got := ens.ActiveMembers(); len(got) != len(members) {
+			t.Fatalf("active members %v, want the full fleet %v", got, members)
+		}
+		if got := ensemble.ModelsActiveForTest(); got != float64(len(members)) {
+			t.Fatalf("ensemble_models_active = %v, want %d", got, len(members))
+		}
+	}
+
+	art, test := cheapCascade(t, members)
+	ens, ok := ensemble.Of(art)
+	if !ok {
+		t.Fatal("no live ensemble")
+	}
+	scaler, err := art.LiveScaler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xSel := art.Selection.Apply(test.X)
+	x := scaler.TransformInto(mat.New(xSel.Rows, xSel.Cols), xSel)
+	arm(ens)
+	for i := 0; i < 4; i++ {
+		ens.Scores(x)
+	}
+	full(t, ens)
+
+	armed, err := ensemble.TrainArmedForTest(cheapTrainOptions(t, members), arm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armedEns, ok := ensemble.Of(armed)
+	if !ok {
+		t.Fatal("no live ensemble")
+	}
+	full(t, armedEns)
+	if armed.Threshold != art.Threshold {
+		t.Fatalf("threshold %v with the scheduler armed during Train, %v without", armed.Threshold, art.Threshold)
+	}
+}
+
 // TestBudgetSchedulerShedRestore drives the scheduler through a full
 // shed/restore cycle: a tiny budget sheds the most expensive members
 // one per batch down to a single survivor (never zero), lifting the
 // budget restores the whole fleet, and queue pressure alone sheds too.
 func TestBudgetSchedulerShedRestore(t *testing.T) {
-	art, test := cheapCascade(t, []string{"naive", "kmeans", "lof"}, ensemble.FusionRank)
+	art, test := cheapCascade(t, []string{"naive", "kmeans", "lof"})
 	det, err := art.Detector()
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +543,7 @@ func TestBudgetSchedulerShedRestore(t *testing.T) {
 	ens.SetLoadProbe(nil)
 
 	st := ens.Status()
-	if st.Prefilter != "iforest" || len(st.Members) != 3 {
+	if st.Prefilter != "naive" || len(st.Members) != 3 {
 		t.Fatalf("status = %+v", st)
 	}
 }

@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"prodigy/internal/pipeline"
@@ -14,14 +15,23 @@ import (
 // freshly deployed cascade starts with the whole fleet active.
 
 type memberJSON struct {
-	Kind   string          `json:"kind"`
-	Weight float64         `json:"weight"`
-	Ref    []float64       `json:"ref"`
-	Model  json.RawMessage `json:"model"`
+	Kind  string          `json:"kind"`
+	Ref   []float64       `json:"ref"`
+	Model json.RawMessage `json:"model"`
+}
+
+// cfgJSON is Config on disk plus the fields of deleted options. They are
+// decoded only so that an artifact trained with one is refused: loading
+// it as a rank-fused cascade would keep its old threshold and silently
+// rescore.
+type cfgJSON struct {
+	Config
+	Fusion  string          `json:"fusion,omitempty"`
+	Weights json.RawMessage `json:"weights,omitempty"`
 }
 
 type ensembleJSON struct {
-	Cfg    Config          `json:"cfg"`
+	Cfg    cfgJSON         `json:"cfg"`
 	Margin float64         `json:"margin,omitempty"`
 	PreRef []float64       `json:"pre_ref,omitempty"`
 	Pre    json.RawMessage `json:"prefilter_model,omitempty"`
@@ -30,7 +40,7 @@ type ensembleJSON struct {
 
 // MarshalJSON implements json.Marshaler.
 func (e *Ensemble) MarshalJSON() ([]byte, error) {
-	ej := ensembleJSON{Cfg: e.Cfg, Margin: e.margin, PreRef: e.preRef}
+	ej := ensembleJSON{Cfg: cfgJSON{Config: e.Cfg}, Margin: e.margin, PreRef: e.preRef}
 	if e.pre != nil {
 		blob, err := json.Marshal(e.pre)
 		if err != nil {
@@ -43,7 +53,7 @@ func (e *Ensemble) MarshalJSON() ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ensemble: marshal member %q: %w", m.kind, err)
 		}
-		ej.Member = append(ej.Member, memberJSON{Kind: m.kind, Weight: m.weight, Ref: m.ref, Model: blob})
+		ej.Member = append(ej.Member, memberJSON{Kind: m.kind, Ref: m.ref, Model: blob})
 	}
 	return json.Marshal(ej)
 }
@@ -55,6 +65,12 @@ func (e *Ensemble) UnmarshalJSON(blob []byte) error {
 	if err := json.Unmarshal(blob, &ej); err != nil {
 		return err
 	}
+	if f := ej.Cfg.Fusion; f != "" && f != "rank" {
+		return fmt.Errorf("ensemble: artifact sets cfg.fusion %q, a removed rule; only rank fusion remains, retrain the artifact", f)
+	}
+	if ej.Cfg.Weights != nil {
+		return errors.New("ensemble: artifact sets cfg.weights, a removed option; only unweighted rank fusion remains, retrain the artifact")
+	}
 	models := make([]pipeline.Model, len(ej.Member))
 	for i, mj := range ej.Member {
 		m, err := pipeline.DecodeModel(mj.Kind, mj.Model)
@@ -63,7 +79,7 @@ func (e *Ensemble) UnmarshalJSON(blob []byte) error {
 		}
 		models[i] = m
 	}
-	built, err := New(ej.Cfg, models)
+	built, err := New(ej.Cfg.Config, models)
 	if err != nil {
 		return err
 	}

@@ -41,11 +41,10 @@ func (s *scheduler) init(e *Ensemble) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.e = e
-	s.budgetNs = e.Cfg.BudgetNs
 }
 
-// SetBudgetNs (re)configures the scheduler's ns/row budget at runtime;
-// 0 disables budget shedding. Safe for concurrent use.
+// SetBudgetNs configures the scheduler's ns/row budget at runtime; 0
+// (the default) disables budget shedding. Safe for concurrent use.
 func (e *Ensemble) SetBudgetNs(ns float64) {
 	e.sched.mu.Lock()
 	defer e.sched.mu.Unlock()
@@ -85,16 +84,24 @@ const (
 	restoreHeadroom = 0.9
 )
 
-// rebalance runs once per scored batch (amortized: a mutex and a few
-// float comparisons). It sheds at most one member and restores at most
-// one member per call, so membership moves one step at a time and the
-// ledger re-measures between steps.
+// Tick runs one budget-scheduler step for one logical batch.
+// pipeline.AnomalyDetector.Scores calls it once per call, before fanning
+// the batch out across workers, so membership moves at most one step per
+// batch at any core count. Scores never calls it, so neither training
+// nor threshold calibration can shed a member. Safe for concurrent use:
+// serve-tier replicas share one ensemble and tick it from their own
+// flushers.
+func (e *Ensemble) Tick() { e.sched.rebalance() }
+
+// rebalance sheds at most one member or restores at most one member per
+// call, so membership moves one step at a time and the ledger
+// re-measures between steps. The load probe is read before taking the
+// lock; the decision, shed and restore included, runs under it, so
+// concurrent ticks cannot pick victims from a half-updated fleet.
 func (s *scheduler) rebalance() {
 	s.mu.Lock()
-	budget := s.budgetNs
 	probe := s.loadProbe
 	s.mu.Unlock()
-
 	queuePressure, queueCalm := false, true
 	if probe != nil {
 		queued, capacity := probe()
@@ -104,8 +111,12 @@ func (s *scheduler) rebalance() {
 			queueCalm = frac < queueLowWater
 		}
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	budget := s.budgetNs
 	if budget <= 0 && probe == nil {
-		s.restoreAll()
+		s.restoreAllLocked()
 		return
 	}
 
@@ -136,7 +147,7 @@ func (s *scheduler) rebalance() {
 
 	overBudget := budget > 0 && est > budget
 	if (overBudget || queuePressure) && active > 1 {
-		s.shedOne()
+		s.shedOneLocked()
 		return
 	}
 	if inactive == 0 || !queueCalm {
@@ -154,12 +165,12 @@ func (s *scheduler) rebalance() {
 	}
 	cand.active.Store(true)
 	schedTransitions.With(actionRestore).Inc()
-	s.publishActive()
+	s.publishActiveLocked()
 }
 
-// shedOne deactivates the most expensive active member, never the last
-// one — the cascade always keeps at least one detector answering.
-func (s *scheduler) shedOne() {
+// shedOneLocked deactivates the most expensive active member, never the
+// last one — the cascade always keeps at least one detector answering.
+func (s *scheduler) shedOneLocked() {
 	var victim *member
 	victimNs := -1.0
 	active := 0
@@ -179,11 +190,12 @@ func (s *scheduler) shedOne() {
 	}
 	victim.active.Store(false)
 	schedTransitions.With(actionShed).Inc()
-	s.publishActive()
+	s.publishActiveLocked()
 }
 
-// restoreAll reactivates the whole fleet (budget shedding disabled).
-func (s *scheduler) restoreAll() {
+// restoreAllLocked reactivates the whole fleet (budget shedding
+// disabled).
+func (s *scheduler) restoreAllLocked() {
 	changed := false
 	for _, m := range s.e.members {
 		if !m.active.Load() {
@@ -193,7 +205,7 @@ func (s *scheduler) restoreAll() {
 		}
 	}
 	if changed {
-		s.publishActive()
+		s.publishActiveLocked()
 	}
 }
 
@@ -214,8 +226,9 @@ func cheapestInactive(members []*member) *member {
 	return best
 }
 
-// publishActive refreshes the ensemble_models_active gauge.
-func (s *scheduler) publishActive() {
+// publishActiveLocked refreshes the ensemble_models_active gauge; under
+// s.mu, so concurrent ticks publish in the order they changed the fleet.
+func (s *scheduler) publishActiveLocked() {
 	n := 0
 	for _, m := range s.e.members {
 		if m.active.Load() {
@@ -252,7 +265,6 @@ func (e *Ensemble) ActiveMembers() []string {
 type MemberStatus struct {
 	Kind     string  `json:"kind"`
 	Active   bool    `json:"active"`
-	Weight   float64 `json:"weight"`
 	NsPerRow float64 `json:"ns_per_row"`
 }
 
@@ -261,7 +273,6 @@ type Status struct {
 	Prefilter string         `json:"prefilter,omitempty"`
 	Margin    float64        `json:"margin,omitempty"`
 	PassFrac  float64        `json:"pass_frac"`
-	Fusion    Fusion         `json:"fusion"`
 	BudgetNs  float64        `json:"budget_ns"`
 	Members   []MemberStatus `json:"members"`
 }
@@ -275,14 +286,12 @@ func (e *Ensemble) Status() Status {
 		Prefilter: e.Cfg.Prefilter,
 		Margin:    e.margin,
 		PassFrac:  e.PassFrac(),
-		Fusion:    e.Cfg.Fusion,
 		BudgetNs:  budget,
 	}
 	for _, m := range e.members {
 		st.Members = append(st.Members, MemberStatus{
 			Kind:     m.kind,
 			Active:   m.active.Load(),
-			Weight:   m.weight,
 			NsPerRow: m.cost.NsPerRow(),
 		})
 	}

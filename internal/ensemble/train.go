@@ -10,7 +10,7 @@ import (
 
 // TrainOptions parameterizes Train.
 type TrainOptions struct {
-	// Cfg declares the cascade (fleet kinds, pre-filter, fusion).
+	// Cfg declares the cascade (fleet kinds, pre-filter, pass fraction).
 	Cfg Config
 	// Trainer carries the shared selection/scaling/threshold settings;
 	// every fleet member trains under the same ones, so the VAE member's
@@ -33,7 +33,16 @@ type TrainOptions struct {
 // on the shared scaled healthy matrix, the decision threshold is the
 // trainer's percentile of the cascade's own training scores, and the
 // result bundles into one swap-able artifact (ModelKind "ensemble").
+// The calibration scoring runs through Ensemble.Scores, which never ticks
+// the budget scheduler, so the artifact always ships with (and its
+// threshold always reflects) the whole fleet.
 func Train(opts TrainOptions) (*pipeline.Artifact, error) {
+	return train(opts, nil)
+}
+
+// train is Train with a hook that sees the assembled cascade before it
+// calibrates; tests arm the scheduler through it.
+func train(opts TrainOptions, arm func(*Ensemble)) (*pipeline.Artifact, error) {
 	cfg := opts.Cfg
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("ensemble: no fleet members configured")
@@ -96,6 +105,9 @@ func Train(opts TrainOptions) (*pipeline.Artifact, error) {
 	e, err := New(cfg, members)
 	if err != nil {
 		return nil, err
+	}
+	if arm != nil {
+		arm(e)
 	}
 	healthy := opts.Train.Subset(opts.Train.HealthyIndices())
 	xSel := selection.Apply(healthy.X)

@@ -32,8 +32,7 @@ type EnsembleRow struct {
 // threshold-free AUC so the comparison doesn't hinge on one operating
 // point.
 type EnsembleResult struct {
-	Fusion ensemble.Fusion
-	Rows   []EnsembleRow
+	Rows []EnsembleRow
 }
 
 // RunEnsembleEval trains the solo Prodigy VAE and the cascade ensemble
@@ -41,8 +40,8 @@ type EnsembleResult struct {
 // and AUC side by side. The acceptance bar for the cascade is fused
 // F1/AUC within 0.01 of solo — the pre-filter may clear rows, it must
 // not cost detection quality.
-func RunEnsembleEval(budget Budget, fusion ensemble.Fusion, seed int64) (*EnsembleResult, error) {
-	res := &EnsembleResult{Fusion: fusion}
+func RunEnsembleEval(budget Budget, seed int64) (*EnsembleResult, error) {
+	res := &EnsembleResult{}
 	for _, system := range []string{"eclipse", "volta"} {
 		// Full-scale campaigns even under the quick budget: the cascade's
 		// pre-filter margin is calibrated on a quarter of the healthy
@@ -92,9 +91,8 @@ func RunEnsembleEval(budget Budget, fusion ensemble.Fusion, seed int64) (*Ensemb
 		})
 
 		// Cascade: the default deployment shape — naive z-score pre-filter,
-		// vae/usad/lof fleet, fused scores.
+		// vae/usad/lof fleet, rank-fused scores.
 		eCfg := ensemble.DefaultConfig()
-		eCfg.Fusion = fusion
 		eCfg.Seed = seed
 		usadCfg := USADConfig(budget, seed)
 		// Quick-budget campaigns can leave fewer healthy training rows than
@@ -119,7 +117,7 @@ func RunEnsembleEval(budget Budget, fusion ensemble.Fusion, seed int64) (*Ensemb
 		fused.TuneThreshold(test)
 		row := EnsembleRow{
 			System: system,
-			Model:  "cascade-" + string(fusion),
+			Model:  "cascade-rank",
 			F1:     fused.Evaluate(test).MacroF1(),
 			AUC:    eval.AUC(fused.Scores(test.X), testLabels),
 		}
@@ -134,7 +132,7 @@ func RunEnsembleEval(budget Budget, fusion ensemble.Fusion, seed int64) (*Ensemb
 
 // Print writes the comparison table.
 func (r *EnsembleResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Cascade ensemble vs solo Prodigy — stratified 60/40 split, threshold swept per §5.4.4 (fusion: %s)\n", r.Fusion)
+	fmt.Fprintln(w, "Cascade ensemble vs solo Prodigy — stratified 60/40 split, threshold swept per §5.4.4")
 	fmt.Fprintf(w, "  %-8s %-16s %8s %8s %10s\n", "system", "model", "F1", "AUC", "pass-frac")
 	for _, row := range r.Rows {
 		pass := "-"

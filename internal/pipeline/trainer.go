@@ -464,6 +464,12 @@ func (d *AnomalyDetector) Artifact() *Artifact { return d.artifact }
 // side of the score-shift alert.
 func (d *AnomalyDetector) ScoreSketch() *obs.Sketch { return d.sketch }
 
+// batchTicker is the optional Model hook for a per-batch control loop:
+// the cascade ensemble's budget scheduler. Scores ticks it once per call,
+// outside the worker fan-out, so the loop steps once per logical batch at
+// any core count and Model.Scores itself stays stateless.
+type batchTicker interface{ Tick() }
+
 // parallelScoreMinRows is the batch size below which fanning scoring out
 // across workers costs more in goroutine overhead than it recovers.
 const parallelScoreMinRows = 128
@@ -481,6 +487,9 @@ func (d *AnomalyDetector) Scores(xFull *mat.Matrix) []float64 {
 	defer mat.Release(ws)
 	x := a.Selection.ApplyInto(ws.Get(xFull.Rows, len(a.Selection.Indices)), xFull)
 	a.scaler.TransformInto(x, x)
+	if t, ok := a.model.(batchTicker); ok {
+		t.Tick()
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if x.Rows < parallelScoreMinRows || workers < 2 {
 		out := a.model.Scores(x)

@@ -21,7 +21,7 @@ import (
 	"prodigy/internal/server"
 )
 
-// deployEnsembleServer trains the budgeted cascade (iforest pre-filter,
+// deployEnsembleServer trains the budgeted cascade (naive pre-filter,
 // cheap deterministic fleet) on a small campaign and serves it — the
 // harness for the scheduler-under-traffic test.
 func deployEnsembleServer(t *testing.T) (*httptest.Server, *core.Prodigy, *pipeline.Dataset) {
@@ -66,7 +66,7 @@ func deployEnsembleServer(t *testing.T) (*httptest.Server, *core.Prodigy, *pipel
 	cfg.TrimSeconds = 20
 	p := core.New(cfg)
 	eCfg := ensemble.Config{
-		Prefilter: "iforest", PassFrac: 0.05, Fusion: ensemble.FusionRank,
+		Prefilter: "naive", PassFrac: 0.05,
 		Members: []string{"naive", "kmeans", "lof"}, Seed: 21,
 	}
 	if err := p.FitEnsemble(ds, nil, eCfg, nil); err != nil {
@@ -149,7 +149,7 @@ func TestEnsembleServingShedRestore(t *testing.T) {
 	if !ok {
 		t.Fatalf("health has no ensemble section: %v", health)
 	}
-	if ensSection["prefilter"] != "iforest" {
+	if ensSection["prefilter"] != "naive" {
 		t.Fatalf("health ensemble.prefilter = %v", ensSection["prefilter"])
 	}
 

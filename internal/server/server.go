@@ -186,9 +186,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if trained {
 		resp["model_kind"] = s.Prodigy.ModelKind()
 		// Cascade introspection: when the deployed artifact is the budgeted
-		// ensemble, expose the pre-filter margin, live pass fraction, fusion
-		// rule, and per-member active/cost status the budget scheduler acts
-		// on (ensemble_models_active's JSON twin).
+		// ensemble, expose the pre-filter margin, live pass fraction and
+		// per-member active/cost status the budget scheduler acts on
+		// (ensemble_models_active's JSON twin).
 		if ens, ok := ensemble.Of(s.Prodigy.Artifact()); ok {
 			resp["ensemble"] = ens.Status()
 		}
